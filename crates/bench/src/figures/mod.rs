@@ -1,33 +1,42 @@
-//! The figure/table *stage functions*: the core logic of the headline
-//! experiment binaries, callable as a library.
+//! The figure/table *stage functions*: every table, figure, ablation and
+//! extension of the reproduction, callable as a library.
 //!
-//! Each function here reproduces one figure or table of the paper and
-//! returns a [`StageOutput`] — a deterministic text rendering plus a
+//! Each function here reproduces one claim of the paper and returns a
+//! [`StageOutput`] — a deterministic text rendering plus a
 //! [`obs::RunManifest`] of result metrics, with the fan-out timing kept
 //! separately (timing legitimately varies run-to-run and must stay out
-//! of anything an artifact cache hashes). Two callers drive them:
-//!
-//! * the thin binary wrappers in `src/bin/` via
-//!   [`crate::cli::figure_main`], which print the text and write the
-//!   `results/<name>.json` manifest exactly as the historical binaries
-//!   did;
-//! * the `pv3t1d` orchestrator (`crates/orchestrator`), which runs them
-//!   as DAG stages and content-addresses their outputs.
+//! of anything an artifact cache hashes). The `pv3t1d` orchestrator
+//! (`crates/orchestrator`) runs them as DAG stages and content-addresses
+//! their outputs; `pv3t1d figure <name>` is a one-stage scenario over the
+//! same path that prints the stage's text.
 //!
 //! The split rule: everything **seed-deterministic** goes into
 //! [`StageOutput::text`] / [`StageOutput::manifest`]; everything
 //! **wall-clock** ([`CampaignReport`] banners, speedups) goes into
-//! [`StageOutput::timing`].
+//! [`StageOutput::timing`]. Every paper claim goes through
+//! [`StageOutput::compare`], so it lands in the payload's metrics where
+//! the `report` stage collects it.
 
+pub mod ablations;
+pub mod extensions;
+pub mod fig01;
+pub mod fig04;
+pub mod fig06a;
 pub mod fig06b;
+pub mod fig07;
+pub mod fig08;
 pub mod fig09;
 pub mod fig10;
 pub mod fig11;
 pub mod fig12;
 pub mod sec21;
+pub mod sec41;
+pub mod table1;
 pub mod table3;
+pub mod temperature;
+pub mod workloads;
 
-use crate::{compare_line, metric_slug, RunScale};
+use crate::{metric_slug, RunScale};
 use obs::RunManifest;
 use std::fmt::Write as _;
 use t3cache::campaign::CampaignReport;
@@ -67,46 +76,64 @@ impl StageOutput {
     }
 
     /// Appends a `measured vs paper` line and records the measured value
-    /// as a `compare.<slug>` gauge (same contract as
-    /// [`crate::RunRecorder::compare`]).
+    /// as a `compare.<slug>` gauge.
     pub fn compare(&mut self, what: &str, measured: f64, paper: &str) {
-        let line = compare_line(what, measured, paper);
-        let _ = writeln!(self.text, "{line}");
+        let _ = writeln!(
+            self.text,
+            "  {what:<52} measured {measured:>9.3}   (paper: {paper})"
+        );
         self.manifest
             .metrics
             .set_gauge(&format!("compare.{}", metric_slug(what)), measured);
     }
 }
 
-/// Looks up a stage function by its experiment name — the registry the
-/// orchestrator's scenario specs index into.
-pub fn stage_fn(name: &str) -> Option<fn(&RunScale) -> StageOutput> {
-    Some(match name {
-        "fig06b" => fig06b::run,
-        "fig09" => fig09::run,
-        "fig10" => fig10::run,
-        "fig11" => fig11::run,
-        "fig12_points" => fig12::points,
-        "fig12_surface" => fig12::surface,
-        "table3" => table3::run,
-        "sec21_stability" => sec21::stability,
-        "sec21_redundancy" => sec21::redundancy,
-        _ => return None,
-    })
+/// A stage function: one experiment at a run scale.
+pub type StageFn = fn(&RunScale) -> StageOutput;
+
+/// Every registered stage, by experiment name, in paper order — the
+/// registry the orchestrator's scenario specs index into.
+const STAGES: [(&str, StageFn); 23] = [
+    ("table1", table1::run),
+    ("fig01", fig01::run),
+    ("fig04", fig04::run),
+    ("fig06a", fig06a::run),
+    ("fig06b", fig06b::run),
+    ("fig07", fig07::run),
+    ("fig08", fig08::run),
+    ("fig09", fig09::run),
+    ("fig10", fig10::run),
+    ("fig11", fig11::run),
+    ("fig12_points", fig12::points),
+    ("fig12_surface", fig12::surface),
+    ("table3", table3::run),
+    ("sec21_stability", sec21::stability),
+    ("sec21_redundancy", sec21::redundancy),
+    ("sec41_global_refresh", sec41::global_refresh),
+    ("temperature_margin", temperature::margin),
+    ("ablations", ablations::design_choices),
+    ("ablation_ooo_tolerance", ablations::ooo_tolerance),
+    ("ablation_word_refresh", ablations::word_refresh),
+    ("extension_icache", extensions::icache),
+    ("extension_regfile", extensions::regfile),
+    ("workload_report", workloads::report),
+];
+
+/// Looks up a stage function by its experiment name.
+pub fn stage_fn(name: &str) -> Option<StageFn> {
+    STAGES.iter().find(|(n, _)| *n == name).map(|&(_, f)| f)
 }
 
-/// Every registered stage-function name, in stable order.
-pub const STAGE_NAMES: [&str; 9] = [
-    "fig06b",
-    "fig09",
-    "fig10",
-    "fig11",
-    "fig12_points",
-    "fig12_surface",
-    "table3",
-    "sec21_stability",
-    "sec21_redundancy",
-];
+/// Every registered stage-function name, in paper order.
+pub const STAGE_NAMES: [&str; STAGES.len()] = {
+    let mut names = [""; STAGES.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = STAGES[i].0;
+        i += 1;
+    }
+    names
+};
 
 #[cfg(test)]
 mod tests {
@@ -136,7 +163,7 @@ mod tests {
     /// The cheapest real stages produce deterministic text + fingerprints.
     #[test]
     fn analytic_stages_are_deterministic() {
-        for name in ["sec21_stability", "sec21_redundancy", "fig12_points"] {
+        for name in ["table1", "fig04", "sec21_stability", "sec21_redundancy", "fig12_points"] {
             let f = stage_fn(name).unwrap();
             let a = f(&RunScale::QUICK);
             let b = f(&RunScale::QUICK);

@@ -1,24 +1,21 @@
-//! Shared harness utilities for the figure/table reproduction binaries.
+//! The experiment library behind every table and figure of the paper.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper. They share the scaling knobs (full vs `--quick` runs), text
-//! rendering helpers, the paper-vs-measured annotation format, and the
-//! [`RunRecorder`] that gives every binary its `--json <path>` run
-//! manifest (default `results/<name>.json`).
+//! [`figures`] holds one stage function per table, figure, ablation and
+//! extension; the `pv3t1d` orchestrator runs them as scenario stages
+//! (`pv3t1d run`, or `pv3t1d figure <name>` for one). This root module
+//! holds what they share: the run-size knobs ([`RunScale`]), the
+//! paper-vs-measured annotation format, and small text and sample
+//! helpers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cli;
 pub mod figures;
 
-use obs::RunManifest;
-use std::path::PathBuf;
-use std::time::Instant;
 use t3cache::evaluate::EvalConfig;
 use vlsi::tech::TechNode;
 
-/// Run-size knobs, honoring `--quick` (or `PV3T1D_QUICK=1`) for smoke runs.
+/// Run-size knobs: the full paper scale or the reduced `--quick` smoke scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunScale {
     /// Monte-Carlo chips for distribution figures.
@@ -48,11 +45,6 @@ impl RunScale {
         warmup: 75_000,
     };
 
-    /// Detects the scale from argv/env (see [`cli::BenchArgs::parse`]).
-    pub fn detect() -> Self {
-        cli::BenchArgs::parse().scale()
-    }
-
     /// An evaluation config at this scale for a node.
     pub fn eval_config(&self, node: TechNode) -> EvalConfig {
         EvalConfig {
@@ -61,82 +53,6 @@ impl RunScale {
             warmup: self.warmup,
             ..EvalConfig::default()
         }
-    }
-}
-
-/// Builds and writes one binary's JSON run manifest.
-///
-/// Construct it first thing with [`RunRecorder::from_args`], fill
-/// [`RunRecorder::metrics`] (and the manifest's seed/node/scheme fields)
-/// as the experiment runs, then call [`RunRecorder::finish`] last — it
-/// stamps the wall clock and writes the manifest to the `--json <path>`
-/// argument (default `results/<name>.json`).
-#[derive(Debug)]
-pub struct RunRecorder {
-    /// The manifest under construction. Binaries set `seed`, `tech_node`
-    /// and `scheme` directly; `workers`, `quick` and `git` are detected.
-    pub manifest: RunManifest,
-    path: PathBuf,
-    started: Instant,
-}
-
-impl RunRecorder {
-    /// A recorder honoring the binary's `--json <path>` / `--json=<path>`
-    /// argument, defaulting to `results/<name>.json` (see
-    /// [`cli::BenchArgs::recorder`]).
-    pub fn from_args(name: &str) -> Self {
-        cli::BenchArgs::parse().recorder(name)
-    }
-
-    /// A recorder writing to an explicit path (tests use this to bypass
-    /// argument parsing); the quick flag is detected from argv/env.
-    pub fn with_path(name: &str, path: impl Into<PathBuf>) -> Self {
-        let quick = cli::BenchArgs::parse().quick;
-        Self::new(name, path, quick)
-    }
-
-    /// The fully-explicit constructor: name, manifest path, and quick
-    /// flag all supplied by the caller (argv untouched). Worker count and
-    /// git provenance are still detected.
-    pub fn new(name: &str, path: impl Into<PathBuf>, quick: bool) -> Self {
-        let mut manifest = RunManifest::new(name);
-        manifest.workers = t3cache::campaign::worker_count() as u64;
-        manifest.quick = quick;
-        manifest.git_describe = RunManifest::detect_git_describe();
-        Self {
-            manifest,
-            path: path.into(),
-            started: Instant::now(),
-        }
-    }
-
-    /// The metrics registry the experiment records into.
-    pub fn metrics(&mut self) -> &mut obs::MetricsRegistry {
-        &mut self.manifest.metrics
-    }
-
-    /// [`compare`] that also records the measured value as a
-    /// `compare.<slug>` gauge in the manifest.
-    pub fn compare(&mut self, what: &str, measured: f64, paper: &str) {
-        compare(what, measured, paper);
-        self.manifest
-            .metrics
-            .set_gauge(&format!("compare.{}", metric_slug(what)), measured);
-    }
-
-    /// Stamps the wall clock, writes the manifest, and prints its path.
-    /// A write failure warns instead of failing the run — the figure
-    /// output on stdout is already complete by then.
-    pub fn finish(mut self) -> PathBuf {
-        self.manifest.wall_seconds = self.started.elapsed().as_secs_f64();
-        match self.manifest.write_to(&self.path) {
-            Ok(()) => println!("manifest: {}", self.path.display()),
-            Err(e) => eprintln!(
-                "warning: could not write manifest {}: {e}",
-                self.path.display()
-            ),
-        }
-        self.path
     }
 }
 
@@ -157,23 +73,6 @@ pub fn metric_slug(label: &str) -> String {
     out.trim_matches('_').to_string()
 }
 
-/// Prints a figure/table banner.
-pub fn banner(id: &str, title: &str) {
-    println!("=====================================================================");
-    println!("{id}: {title}");
-    println!("=====================================================================");
-}
-
-/// Formats a `measured vs paper` annotation line.
-pub fn compare_line(what: &str, measured: f64, paper: &str) -> String {
-    format!("  {what:<52} measured {measured:>9.3}   (paper: {paper})")
-}
-
-/// Prints a `measured vs paper` annotation line.
-pub fn compare(what: &str, measured: f64, paper: &str) {
-    println!("{}", compare_line(what, measured, paper));
-}
-
 /// Renders a unit-scaled ASCII bar.
 pub fn bar(frac: f64, width: usize) -> String {
     let n = (frac.clamp(0.0, 1.0) * width as f64).round() as usize;
@@ -185,7 +84,7 @@ pub fn bar(frac: f64, width: usize) -> String {
 }
 
 /// Minimum of a sample (`+∞` when empty) — the "worst chip" aggregations
-/// the figure binaries report.
+/// the figure stages report.
 pub fn min(values: &[f64]) -> f64 {
     values.iter().copied().fold(f64::INFINITY, f64::min)
 }
@@ -240,29 +139,12 @@ mod tests {
     }
 
     #[test]
-    fn recorder_records_compares_and_writes() {
-        let dir = std::env::temp_dir().join(format!("bench_recorder_{}", std::process::id()));
-        let path = dir.join("unit.json");
-        let mut rec = RunRecorder::with_path("unit", &path);
-        rec.manifest.seed = Some(42);
-        rec.compare("mean IPC loss", 0.031, "≈3%");
-        rec.metrics().inc("events", 7);
-        let written = rec.finish();
-        let back = obs::RunManifest::read_from(&written).unwrap();
-        assert_eq!(back.name, "unit");
-        assert_eq!(back.seed, Some(42));
-        assert_eq!(back.metrics.counter("events"), Some(7));
-        assert_eq!(back.metrics.gauge("compare.mean_ipc_loss"), Some(0.031));
-        assert!(back.wall_seconds >= 0.0);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn scale_has_sane_defaults() {
-        let s = RunScale::detect();
-        assert!(s.mc_chips >= 40);
-        assert!(s.instructions >= 40_000);
-        let cfg = s.eval_config(TechNode::N32);
-        assert_eq!(cfg.benchmarks.len(), 8);
+        for s in [RunScale::QUICK, RunScale::FULL] {
+            assert!(s.mc_chips >= 40);
+            assert!(s.instructions >= 40_000);
+            let cfg = s.eval_config(TechNode::N32);
+            assert_eq!(cfg.benchmarks.len(), 8);
+        }
     }
 }

@@ -12,9 +12,9 @@
 //! * [`Json`] — a minimal JSON value model with a deterministic
 //!   serializer and a strict parser (manifests round-trip bit-exactly for
 //!   finite floats);
-//! * [`RunManifest`] — the JSON *run manifest* each `fig*`/`table3`
-//!   binary emits (`--json <path>`): metrics + seed, tech node, scheme,
-//!   worker count, wall clock, and `git describe` provenance;
+//! * [`RunManifest`] — the JSON *run manifest* of one experiment:
+//!   metrics plus seed, tech node, scheme, worker count, wall clock, and
+//!   `git describe` provenance;
 //! * [`trace`] — a process-global hierarchical span tracer (thread-aware
 //!   spans, instants, counters, and cycle-stamped simulator events) with
 //!   a ring buffer and Chrome trace-event JSON export, near-zero cost

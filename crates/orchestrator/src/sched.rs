@@ -910,13 +910,11 @@ pub fn run_scenario(sc: &Scenario, opts: &RunOptions) -> Result<RunSummary, Spec
                 match result {
                     Ok(payload) => {
                         executed += 1;
-                        let digest = if opts.use_cache {
-                            store
-                                .put(&keys[i].clone().expect("key set at launch"), &sc.stages[i].kind, &payload)
-                                .unwrap_or_else(|_| content_hash(payload.render().as_bytes()))
-                        } else {
-                            content_hash(payload.render().as_bytes())
-                        };
+                        // Stored even without `use_cache`: a forced rerun
+                        // still refreshes the cache for later runs.
+                        let digest = store
+                            .put(&keys[i].clone().expect("key set at launch"), &sc.stages[i].kind, &payload)
+                            .unwrap_or_else(|_| content_hash(payload.render().as_bytes()));
                         digests[i] = Some(digest);
                         payloads[i] = Some(payload);
                         // The full artifact is on disk; this stage's unit

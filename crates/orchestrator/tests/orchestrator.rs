@@ -334,3 +334,53 @@ fn checked_in_scenarios_validate() {
         }
     }
 }
+
+/// A paper claim that used to be printed only now lands in the `report`
+/// stage: §4.1's full refresh pass is the paper's 2K cycles.
+#[test]
+fn report_collects_sec41_claims() {
+    let dir = temp_results("sec41_report");
+    let mut sc = Scenario::new("sec41", bench_harness::RunScale::QUICK);
+    sc.stages
+        .push(StageSpec::new("sec41_global_refresh", "sec41_global_refresh"));
+    sc.stages
+        .push(StageSpec::new("report", "report").with_deps(&["sec41_global_refresh"]));
+    let summary = run_scenario(&sc, &opts(&dir)).unwrap();
+    assert!(summary.ok(), "{summary:?}");
+
+    let report = summary.stages.iter().find(|s| s.id == "report").unwrap();
+    let store = orchestrator::ArtifactStore::new(dir.join("cas"));
+    let payload = store.get(report.key.as_deref().unwrap()).unwrap().payload;
+    let compares = payload
+        .get("stages")
+        .and_then(|s| s.get("sec41_global_refresh"))
+        .and_then(|s| s.get("compares"))
+        .unwrap();
+    assert_eq!(
+        compares.get("refresh_pass_cycles").and_then(Json::as_f64),
+        Some(2048.0),
+        "{compares:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `paper_full.json` is the one way to run every figure: each registered
+/// figure stage is in it and feeds its report.
+#[test]
+fn paper_full_runs_every_figure_stage_into_its_report() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/paper_full.json");
+    let sc = Scenario::load(&path).unwrap();
+    let report = sc.stages.iter().find(|s| s.kind == "report").unwrap();
+    for name in bench_harness::figures::STAGE_NAMES {
+        let stage = sc
+            .stages
+            .iter()
+            .find(|s| s.kind == name)
+            .unwrap_or_else(|| panic!("paper_full.json has no {name} stage"));
+        assert!(
+            report.deps.contains(&stage.id),
+            "report does not depend on {}",
+            stage.id
+        );
+    }
+}

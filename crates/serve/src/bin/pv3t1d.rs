@@ -4,6 +4,7 @@
 //! pv3t1d run    <scenario.json> [--quick|--full] [--jobs N] [--results DIR]
 //!                               [--no-cache] [--expect-cached] [--keep-going]
 //!                               [--manifest PATH] [--trace PATH]
+//! pv3t1d figure <name> [--quick|--full] [--results DIR] [--no-cache]
 //! pv3t1d plan   <scenario.json> [--quick|--full] [--results DIR]
 //! pv3t1d ls     [--results DIR] [--traces]
 //! pv3t1d gc     <scenario.json>... [--quick|--full] [--results DIR]
@@ -39,7 +40,8 @@
 
 use obs::Json;
 use orchestrator::{
-    bench, plan_scenario, report, run_scenario, ArtifactStore, RunOptions, Scenario,
+    bench, plan_scenario, report, run_scenario, ArtifactStore, RunOptions, Scenario, StageSpec,
+    StageStatus,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -49,6 +51,9 @@ pv3t1d — declarative experiment DAG runner (3T1D cache reproduction)
 
 USAGE:
     pv3t1d run    <scenario.json> [OPTIONS]  execute a scenario DAG
+    pv3t1d figure <name> [OPTIONS]           run one table/figure stage (a
+                                             one-stage scenario, full scale
+                                             unless --quick) and print its text
     pv3t1d plan   <scenario.json> [OPTIONS]  show cache hits without running
     pv3t1d ls     [OPTIONS]                  list cached artifacts (or traces)
     pv3t1d gc     <scenario.json>... [OPTIONS] drop cache entries unreachable
@@ -79,7 +84,8 @@ OPTIONS:
     --quick / --full     override the scenario's run scale / bench sizes
     --jobs <N>           concurrent stages (default 2); bench campaign workers
     --results <DIR>      results directory (default results/)
-    --no-cache           (run) execute every stage; still refresh the cache
+    --no-cache           (run, figure) execute every stage; still refresh
+                         the cache
     --expect-cached      (run) fail unless every stage is a cache hit
     --keep-going         (run) report failed stages but exit 0 anyway
                          (interrupts still exit non-zero)
@@ -443,18 +449,8 @@ fn cmd_run(cli: &Cli) -> Result<ExitCode, String> {
     if !summary.ok() {
         let mut cancelled = false;
         for s in &summary.stages {
-            if let Some(err) = match &s.status {
-                orchestrator::StageStatus::Failed(e) => Some(e.to_string()),
-                orchestrator::StageStatus::TimedOut(l) => {
-                    Some(format!("timed out after {l} seconds"))
-                }
-                orchestrator::StageStatus::Skipped(w) => Some(w.clone()),
-                orchestrator::StageStatus::Cancelled(w) => {
-                    cancelled = true;
-                    Some(w.clone())
-                }
-                orchestrator::StageStatus::Ran | orchestrator::StageStatus::Cached => None,
-            } {
+            cancelled |= matches!(s.status, StageStatus::Cancelled(_));
+            if let Some(err) = stage_error(&s.status) {
                 eprintln!("error: stage {}: {err}", s.id);
             }
         }
@@ -478,6 +474,49 @@ fn cmd_run(cli: &Cli) -> Result<ExitCode, String> {
         );
         return Ok(ExitCode::from(1));
     }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Why a stage produced no payload, or `None` for ok stages.
+fn stage_error(status: &StageStatus) -> Option<String> {
+    match status {
+        StageStatus::Failed(e) => Some(e.to_string()),
+        StageStatus::TimedOut(l) => Some(format!("timed out after {l} seconds")),
+        StageStatus::Skipped(w) | StageStatus::Cancelled(w) => Some(w.clone()),
+        StageStatus::Ran | StageStatus::Cached => None,
+    }
+}
+
+/// `figure <name>`: one figure stage as a one-stage scenario, through the
+/// same scheduler and artifact cache as `run`; prints the stage's text.
+fn cmd_figure(cli: &Cli) -> Result<ExitCode, String> {
+    let [name] = cli.positional.as_slice() else {
+        return Err("figure needs exactly one figure name".into());
+    };
+    let name = name.to_string_lossy();
+    let names = bench_harness::figures::STAGE_NAMES;
+    if !names.contains(&name.as_ref()) {
+        return Err(format!("unknown figure {name:?}; known: {}", names.join(", ")));
+    }
+    let mut sc = Scenario::new(&name, bench_harness::RunScale::FULL);
+    sc.stages.push(StageSpec::new(&name, &name));
+    let opts = RunOptions {
+        verbose: false,
+        cancel: Some(interrupt::install()),
+        ..cli.opts.clone()
+    };
+    let summary = run_scenario(&sc, &opts).map_err(|e| e.to_string())?;
+    let stage = &summary.stages[0];
+    if let Some(err) = stage_error(&stage.status) {
+        eprintln!("error: figure {name}: {err}");
+        return Ok(ExitCode::from(1));
+    }
+    let entry = stage
+        .key
+        .as_deref()
+        .and_then(|key| ArtifactStore::new(opts.results_dir.join("cas")).get(key))
+        .ok_or_else(|| format!("figure {name}: payload missing from the artifact cache"))?;
+    print!("{}", entry.payload.get("text").and_then(Json::as_str).unwrap_or(""));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -978,6 +1017,7 @@ fn main() -> ExitCode {
     };
     let result = match command.as_str() {
         "run" => cmd_run(&cli),
+        "figure" => cmd_figure(&cli),
         "plan" => cmd_plan(&cli),
         "ls" => cmd_ls(&cli),
         "gc" => cmd_gc(&cli),

@@ -466,3 +466,30 @@ fn event_stream_replays_history_and_reports_lifecycle() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A 100k-deep `[[[…]]]` body (200 KB, well under the body cap) used to
+/// overflow the connection thread's stack in the recursive JSON parser
+/// and abort the whole daemon. The parser's nesting cap turns it into a
+/// 400, and the daemon keeps serving.
+#[cfg(unix)]
+#[test]
+fn deeply_nested_body_is_a_400_not_a_daemon_crash() {
+    let dir = temp_results("deep_json");
+    let (mut daemon, addr) = spawn_daemon(&dir, 1);
+    let depth = 100_000;
+    let body = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    let resp = exchange(&addr, "POST", "/runs", Some(&body)).expect("daemon answers");
+    assert_eq!(resp.status, 400, "{resp:?}");
+    let err = parse_body(&resp);
+    assert!(
+        err.get("error").and_then(Json::as_str).unwrap_or("").contains("nesting"),
+        "{err:?}"
+    );
+    let health = exchange(&addr, "GET", "/healthz", None).expect("daemon still up");
+    assert_eq!(health.status, 200);
+    assert!(daemon.try_wait().unwrap().is_none(), "daemon must still be running");
+
+    send_sigterm(daemon.id());
+    wait_for_exit(&mut daemon, Duration::from_secs(30));
+    let _ = std::fs::remove_dir_all(&dir);
+}

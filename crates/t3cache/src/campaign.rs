@@ -33,7 +33,7 @@
 //!
 //! Each unit is also individually timed, so a campaign reports its wall
 //! clock next to the *estimated serial time* (the sum of unit times): the
-//! speedup banner the figure binaries print is measured, not assumed.
+//! speedup a campaign reports is measured, not assumed.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -95,7 +95,7 @@ impl CampaignReport {
         self.serial_estimate.as_secs_f64() / wall
     }
 
-    /// Folds another fan-out's timing into this one (for binaries that run
+    /// Folds another fan-out's timing into this one (for stages that run
     /// several campaigns and report one aggregate banner): units, wall and
     /// serial estimate add; the worker count takes the maximum; per-worker
     /// steal counts add slot-wise; unit timings concatenate.

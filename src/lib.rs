@@ -47,8 +47,8 @@
 //! ```
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! per-figure reproduction results; the binaries in `pv3t1d-bench`
-//! regenerate every table and figure of the paper.
+//! per-figure reproduction results; `pv3t1d run scenarios/paper_full.json`
+//! regenerates every table and figure of the paper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
