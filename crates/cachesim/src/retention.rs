@@ -17,7 +17,6 @@
 //! assert!(!profile.is_dead(0, &spec));
 //! ```
 
-use vlsi::tech::OperatingPoint;
 use vlsi::units::{Frequency, Time};
 
 /// The line-counter hardware parameters.
@@ -112,22 +111,15 @@ pub enum RetentionProfile {
 
 impl RetentionProfile {
     /// Builds a per-line profile from physical retention times at a core
-    /// frequency (3T1D chips always run at the nominal clock — §2.2).
+    /// frequency — the operating point's clock. A DVFS point that halves
+    /// the clock doubles every line's retention *in cycles*, the
+    /// architectural quantity the counters see.
     pub fn from_times(retentions: &[Time], clock: Frequency) -> Self {
         let per_line = retentions
             .iter()
             .map(|t| (t.value() * clock.value()).max(0.0) as u64)
             .collect();
         RetentionProfile::PerLine(per_line)
-    }
-
-    /// Builds a per-line profile at an explicit operating point: the same
-    /// cycle conversion, but against the point's clock instead of an
-    /// assumed nominal one. A DVFS point that halves the clock doubles
-    /// every line's retention *in cycles* — the architectural quantity the
-    /// counters see.
-    pub fn from_times_at(retentions: &[Time], op: OperatingPoint) -> Self {
-        Self::from_times(retentions, op.freq)
     }
 
     /// A profile where every line has the same retention (the global-scheme
@@ -200,6 +192,7 @@ impl RetentionProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vlsi::tech::OperatingPoint;
 
     #[test]
     fn counter_quantization() {
@@ -264,14 +257,12 @@ mod tests {
         use vlsi::tech::TechNode;
         let node = TechNode::N32;
         let times = [Time::from_ns(1900.0), Time::from_us(5.0)];
-        // At the nominal point the profile is identical to the legacy path.
-        let nominal = RetentionProfile::from_times_at(&times, OperatingPoint::nominal(node));
-        assert_eq!(nominal, RetentionProfile::from_times(&times, node.chip_frequency()));
+        let nominal = RetentionProfile::from_times(&times, OperatingPoint::nominal(node).freq);
         // Halving the clock doubles every line's retention in cycles
         // (to within the truncation of the float→cycle conversion).
         let half = OperatingPoint::nominal(node)
             .with_freq(Frequency::from_ghz(node.chip_frequency().ghz() / 2.0));
-        let slow = RetentionProfile::from_times_at(&times, half);
+        let slow = RetentionProfile::from_times(&times, half.freq);
         for line in 0..2 {
             let diff = slow.cycles(line) as i64 - (nominal.cycles(line) / 2) as i64;
             assert!(diff.abs() <= 1, "line {line}: {diff}");

@@ -415,11 +415,22 @@ impl StageCheckpoint {
     /// Removes every unit entry of this stage (called once the full
     /// stage artifact lands — the sub-entries are then redundant).
     /// Returns the number of entries removed.
+    ///
+    /// Matches file names only: unlike [`ArtifactStore::ls`] it never
+    /// reads or verifies an entry, so its cost does not grow with the
+    /// size of the other stages' payloads in the store.
     pub fn clear(&self) -> io::Result<usize> {
+        let Ok(entries) = std::fs::read_dir(self.store.root()) else {
+            return Ok(0);
+        };
         let mut removed = 0;
-        for row in self.store.ls() {
-            if checkpoint_base(&row.key) == Some(self.key.as_str()) {
-                self.store.remove(&row.key)?;
+        for entry in entries.flatten() {
+            let name = entry.file_name();
+            let Some(stem) = name.to_str().and_then(|n| n.strip_suffix(".json")) else {
+                continue;
+            };
+            if checkpoint_base(stem) == Some(self.key.as_str()) {
+                self.store.remove(stem)?;
                 removed += 1;
             }
         }

@@ -918,9 +918,12 @@ pub fn run_scenario(sc: &Scenario, opts: &RunOptions) -> Result<RunSummary, Spec
                         digests[i] = Some(digest);
                         payloads[i] = Some(payload);
                         // The full artifact is on disk; this stage's unit
-                        // checkpoints are redundant now.
+                        // checkpoints are redundant now. A stage that
+                        // neither stored nor resumed a unit has none.
                         if let Some(cp) = checkpoints.get(&i) {
-                            let _ = cp.clear();
+                            if cp.stored() + cp.resumed() > 0 {
+                                let _ = cp.clear();
+                            }
                         }
                         finish_stage!(i, StageStatus::Ran);
                     }

@@ -38,7 +38,7 @@ use bench_harness::RunScale;
 use obs::{CancelToken, Json};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use t3cache::campaign::{map_indexed_with_hooks, worker_count, UnitHooks};
+use t3cache::campaign::{map_shards_with_hooks, worker_count, UnitHooks};
 use t3cache::chip::ChipModel;
 use t3cache::dvfs::{evaluate_point, pareto_frontier, render_frontier, DvfsPointConfig, DvfsPointResult};
 use vlsi::celltech::CellTechKind;
@@ -248,7 +248,7 @@ fn chip_campaign(ctx: &StageCtx<'_>) -> Result<Json, String> {
         cancel: Some(&ctx.cancel),
     };
     let pacing = std::time::Duration::from_secs_f64(unit_sleep_ms / 1000.0);
-    let (slots, _report) = map_indexed_with_hooks(n, worker_count(), hooks, |i| {
+    let (slots, _report) = map_shards_with_hooks(n, worker_count(), hooks, |i| {
         if !pacing.is_zero() {
             std::thread::sleep(pacing);
         }

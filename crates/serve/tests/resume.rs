@@ -4,7 +4,9 @@
 //! one unit from the per-unit checkpoints (or, if the kill raced the
 //! campaign's completion, hits the stage cache), and (c) reproduces the
 //! results section and fingerprint of a never-interrupted reference run
-//! bit-for-bit.
+//! bit-for-bit. The reference and killed runs use one campaign worker,
+//! the resumed run two: unit checkpoints are keyed by unit index, so a
+//! resume must not depend on the worker count.
 
 use obs::Json;
 use std::path::{Path, PathBuf};
@@ -29,7 +31,7 @@ const SCENARIO: &str = r#"{
   ]
 }"#;
 
-fn pv3t1d(scenario: &Path, results: &Path) -> Command {
+fn pv3t1d(scenario: &Path, results: &Path, workers: u32) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_pv3t1d"));
     cmd.args([
         "run",
@@ -37,8 +39,7 @@ fn pv3t1d(scenario: &Path, results: &Path) -> Command {
         "--results",
         results.to_str().unwrap(),
     ])
-    // One campaign worker makes the unit cadence predictable.
-    .env("PV3T1D_WORKERS", "1");
+    .env("PV3T1D_WORKERS", workers.to_string());
     cmd
 }
 
@@ -66,14 +67,15 @@ fn sigkill_mid_campaign_then_rerun_resumes_bit_identically() {
 
     // Reference: an uninterrupted run in its own results directory.
     let ref_results = dir.join("ref");
-    let out = pv3t1d(&scenario, &ref_results).output().unwrap();
+    // One campaign worker makes the unit cadence predictable.
+    let out = pv3t1d(&scenario, &ref_results, 1).output().unwrap();
     assert!(out.status.success(), "reference run failed: {out:?}");
     let reference = manifest(&ref_results);
 
     // Victim: start the same run elsewhere and SIGKILL it once at least
     // two unit checkpoints have landed in the store.
     let results = dir.join("resume");
-    let mut child = pv3t1d(&scenario, &results).spawn().unwrap();
+    let mut child = pv3t1d(&scenario, &results, 1).spawn().unwrap();
     let deadline = Instant::now() + Duration::from_secs(60);
     let mut killed = false;
     loop {
@@ -102,8 +104,9 @@ fn sigkill_mid_campaign_then_rerun_resumes_bit_identically() {
         );
     }
 
-    // Resume: identical command, same results directory.
-    let out = pv3t1d(&scenario, &results).output().unwrap();
+    // Resume: the same scenario and results directory, at a different
+    // worker count (and so a different shard geometry).
+    let out = pv3t1d(&scenario, &results, 2).output().unwrap();
     assert!(
         out.status.success(),
         "resumed run failed: stdout={} stderr={}",

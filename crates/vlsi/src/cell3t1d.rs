@@ -222,75 +222,6 @@ impl RetentionSolver {
         let tau = self.tau0 / (self.rho + (1.0 - self.rho) * exp_interp(x));
         Time::new(tau * margin)
     }
-
-    /// Batched [`RetentionSolver::retention`] over SoA deviation planes:
-    /// `out[i] = retention(dl[i], dvth1[i], dvth2[i])`, one tight loop over
-    /// contiguous slices. Bit-identical to the scalar solve element-wise —
-    /// the Monte-Carlo batch path leans on this for its golden equivalence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input slices have different lengths.
-    pub fn retention_slice(
-        &self,
-        dl: &[f64],
-        dvth1_volts: &[f64],
-        dvth2_volts: &[f64],
-        out: &mut Vec<Time>,
-    ) {
-        assert_eq!(dl.len(), dvth1_volts.len(), "retention_slice length mismatch");
-        assert_eq!(dl.len(), dvth2_volts.len(), "retention_slice length mismatch");
-        out.clear();
-        out.reserve(dl.len());
-        for i in 0..dl.len() {
-            out.push(self.retention(dl[i], dvth1_volts[i], dvth2_volts[i]));
-        }
-    }
-}
-
-/// Batched [`stored_one_voltage`] over SoA deviation planes: element `i`
-/// equals the scalar call with
-/// `DeviceDeviation { dl_frac: dl[i], dvth_random: dvth1_volts[i] }`
-/// bit-for-bit (the same expression evaluated in the same order).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn stored_one_voltage_slice(
-    node: TechNode,
-    dl: &[f64],
-    dvth1_volts: &[f64],
-    out: &mut Vec<Voltage>,
-) {
-    assert_eq!(dl.len(), dvth1_volts.len(), "stored_one_voltage_slice length mismatch");
-    out.clear();
-    out.reserve(dl.len());
-    for i in 0..dl.len() {
-        let dev = DeviceDeviation {
-            dl_frac: dl[i],
-            dvth_random: Voltage::new(dvth1_volts[i]),
-        };
-        out.push(stored_one_voltage(node, dev));
-    }
-}
-
-/// Batched [`decay_tau`] over SoA deviation planes, bit-identical to the
-/// scalar call element-wise.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn decay_tau_slice(node: TechNode, dl: &[f64], dvth1_volts: &[f64], out: &mut Vec<Time>) {
-    assert_eq!(dl.len(), dvth1_volts.len(), "decay_tau_slice length mismatch");
-    out.clear();
-    out.reserve(dl.len());
-    for i in 0..dl.len() {
-        let dev = DeviceDeviation {
-            dl_frac: dl[i],
-            dvth_random: Voltage::new(dvth1_volts[i]),
-        };
-        out.push(decay_tau(node, dev));
-    }
 }
 
 /// Multiplier on retention time when the die runs at `temp_c` instead of

@@ -18,11 +18,10 @@
 //!   (speculation-widened, Vdd-dependent) noise margin are stable "forever";
 //!   the rest are dead lines, exactly like short-retention 3T1D lines.
 //!
-//! Every implementation must keep its slice kernel bit-identical to its
-//! scalar solve (the batch-path determinism contract), and must be
-//! monotone: retention non-increasing in temperature, access time
-//! non-increasing in supply voltage. Both are pinned by the workspace
-//! property tests.
+//! The paper's baseline pipeline is this trait's 3T1D model at
+//! [`OperatingPoint::nominal`]. Every implementation must be monotone: retention non-increasing in
+//! temperature, access time non-increasing in supply voltage. Both are
+//! pinned by the workspace property tests.
 
 use crate::calib;
 use crate::cell3t1d::{op_retention_scale, RetentionSolver};
@@ -131,9 +130,11 @@ impl FromStr for CellTechKind {
 ///
 /// The contract the Monte-Carlo machinery depends on:
 ///
-/// * [`retention_slice`](CellTechnology::retention_slice) must be
-///   bit-identical element-wise to [`retention`](CellTechnology::retention)
-///   — the batch kernels lean on this for their golden equivalence;
+/// * a technology defines only the scalar
+///   [`retention`](CellTechnology::retention);
+///   [`retention_slice`](CellTechnology::retention_slice) is a provided
+///   loop over it that no type overrides, so the batch kernels agree with
+///   the scalar solve by construction;
 /// * a dead cell is exactly [`Time::ZERO`] (the line fold early-breaks on
 ///   it, with the RNG-rewind determinism contract of the batch module);
 /// * retention is non-increasing in `temp_c` and
@@ -154,8 +155,11 @@ pub trait CellTechnology: fmt::Debug + Send + Sync {
     /// draws (in volts). Dead cells return exactly [`Time::ZERO`].
     fn retention(&self, dl: f64, dvth1_volts: f64, dvth2_volts: f64) -> Time;
 
-    /// Batched [`retention`](CellTechnology::retention) over SoA deviation
-    /// planes — must stay bit-identical element-wise to the scalar solve.
+    /// [`retention`](CellTechnology::retention) over one line's SoA
+    /// deviation planes: `out[i] = retention(dl[i], dvth1[i], dvth2[i])`.
+    /// Not a second definition of the curve — it exists so the batch
+    /// kernel pays one dynamic call per line instead of one per cell, with
+    /// the scalar solve inlined into this loop. Do not override it.
     ///
     /// # Panics
     ///
@@ -238,6 +242,12 @@ impl T3t1dTech {
             scale: op_retention_scale(node, op),
         }
     }
+
+    /// The paper's baseline: the 3T1D cell at `node`'s nominal operating
+    /// point, where the retention scale is exactly 1.0.
+    pub fn nominal(node: TechNode) -> Self {
+        Self::new(node, OperatingPoint::nominal(node))
+    }
 }
 
 impl CellTechnology for T3t1dTech {
@@ -255,19 +265,6 @@ impl CellTechnology for T3t1dTech {
 
     fn retention(&self, dl: f64, dvth1_volts: f64, dvth2_volts: f64) -> Time {
         self.solver.retention(dl, dvth1_volts, dvth2_volts) * self.scale
-    }
-
-    fn retention_slice(
-        &self,
-        dl: &[f64],
-        dvth1_volts: &[f64],
-        dvth2_volts: &[f64],
-        out: &mut Vec<Time>,
-    ) {
-        self.solver.retention_slice(dl, dvth1_volts, dvth2_volts, out);
-        for t in out.iter_mut() {
-            *t = *t * self.scale;
-        }
     }
 
     fn access_time(&self) -> Time {
@@ -510,21 +507,6 @@ mod tests {
         let r_scaled = scaled.retention(0.0, 0.0, 0.0);
         assert!(r_scaled < r_nom, "{} vs {}", r_scaled.ns(), r_nom.ns());
         assert!(r_scaled > Time::ZERO);
-    }
-
-    #[test]
-    fn every_slice_kernel_matches_its_scalar() {
-        let dl = [0.0, 0.02, -0.04, 0.08, -0.01];
-        let d1 = [0.0, -0.03, 0.05, 0.11, 0.002];
-        let d2 = [0.0, 0.01, -0.02, 0.09, -0.004];
-        for kind in CellTechKind::ALL {
-            let tech = nominal(kind);
-            let mut out = Vec::new();
-            tech.retention_slice(&dl, &d1, &d2, &mut out);
-            for i in 0..dl.len() {
-                assert_eq!(out[i], tech.retention(dl[i], d1[i], d2[i]), "{kind} cell {i}");
-            }
-        }
     }
 
     #[test]

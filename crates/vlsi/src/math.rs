@@ -79,36 +79,9 @@ pub fn erf(x: f64) -> f64 {
     sign * (1.0 - poly * (-x * x).exp())
 }
 
-/// Batched [`erf`] over a slice: `out[i] = erf(xs[i])`, written as a tight
-/// loop over contiguous data so the polynomial part auto-vectorizes.
-/// Bit-identical to the scalar function element-wise.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn erf_slice(xs: &[f64], out: &mut [f64]) {
-    assert_eq!(xs.len(), out.len(), "erf_slice length mismatch");
-    for (o, &x) in out.iter_mut().zip(xs) {
-        *o = erf(x);
-    }
-}
-
 /// Standard normal cumulative distribution function `Φ(z)`.
 pub fn normal_cdf(z: f64) -> f64 {
     0.5 * (1.0 + erf(z / std::f64::consts::SQRT_2))
-}
-
-/// Batched [`normal_cdf`] over a slice: `out[i] = Φ(zs[i])`, bit-identical
-/// to the scalar function element-wise.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn normal_cdf_slice(zs: &[f64], out: &mut [f64]) {
-    assert_eq!(zs.len(), out.len(), "normal_cdf_slice length mismatch");
-    for (o, &z) in out.iter_mut().zip(zs) {
-        *o = normal_cdf(z);
-    }
 }
 
 /// Inverse standard normal CDF (quantile function), Acklam's algorithm.

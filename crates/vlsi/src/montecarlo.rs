@@ -29,8 +29,9 @@
 //! ```
 
 use crate::array::ArrayLayout;
-use crate::cell3t1d::{self, RetentionSolver};
+use crate::cell3t1d;
 use crate::cell6t::{self, CellSize};
+use crate::celltech::{CellTechnology, T3t1dTech};
 use crate::leakage;
 use crate::math::{sample_min_of_normals, sample_standard_normal};
 use crate::quadtree::QuadTreeField;
@@ -192,42 +193,31 @@ impl Chip {
         self.line_retentions_cached().to_vec()
     }
 
-    /// Borrowed view of the memoized per-line retention product. The first
-    /// call on a chip samples ~557 k cells via the [`batch`] kernels;
-    /// every later call is O(1).
+    /// Borrowed view of the memoized per-line retention product: the
+    /// paper's 3T1D cell at the nominal operating point
+    /// ([`T3t1dTech::nominal`]). The first call on a chip samples ~557 k
+    /// cells via the [`batch`] kernels; every later call is O(1).
     pub fn line_retentions_cached(&self) -> &[Time] {
-        self.retentions.get_or_init(|| batch::line_retentions(self))
+        self.retentions
+            .get_or_init(|| batch::line_retentions(self, &T3t1dTech::nominal(self.node)))
     }
 
-    /// The scalar per-cell reference path through the per-node
-    /// [`RetentionSolver`]: same stream contract and same solver as the
-    /// [`batch`] kernels, cell-at-a-time. Never cached. The test-suite
-    /// pins the batch product bit-identical against this.
-    pub fn line_retentions_scalar(&self) -> Vec<Time> {
-        let solver = RetentionSolver::new(self.node);
-        self.sample_line_retentions(|dl, dvth1, dvth2| solver.retention(dl, dvth1, dvth2))
+    /// Per-line retention times under a cell technology at its operating
+    /// point, through the SoA [`batch`] kernels. Never cached — sweep
+    /// stages evaluate many `(technology, operating point)` pairs per
+    /// chip, so the caller owns any memoization.
+    pub fn line_retentions_tech(&self, tech: &dyn CellTechnology) -> Vec<Time> {
+        batch::line_retentions(self, tech)
     }
 
-    /// Per-line retention times under an arbitrary cell technology at its
-    /// operating point, through the SoA [`batch`] kernels. Never cached —
-    /// sweep stages evaluate many `(technology, operating point)` pairs per
-    /// chip, so the caller owns any memoization. For the 3T1D technology at
-    /// the nominal operating point this is bit-identical to
-    /// [`Chip::line_retentions`].
-    pub fn line_retentions_tech(&self, tech: &dyn crate::celltech::CellTechnology) -> Vec<Time> {
-        batch::line_retentions_with(self, tech)
-    }
-
-    /// The scalar reference for [`Chip::line_retentions_tech`]: the same
+    /// The scalar per-cell reference for the [`batch`] kernel: the same
     /// stream contract, cell-at-a-time through the technology's scalar
     /// solve, with the per-line [`line_scale`] applied after the fold.
-    /// Never cached; the property suite pins the batch product against it.
+    /// Never cached; the test-suite pins the batch product bit-identical
+    /// against this.
     ///
-    /// [`line_scale`]: crate::celltech::CellTechnology::line_scale
-    pub fn line_retentions_tech_scalar(
-        &self,
-        tech: &dyn crate::celltech::CellTechnology,
-    ) -> Vec<Time> {
+    /// [`line_scale`]: CellTechnology::line_scale
+    pub fn line_retentions_scalar(&self, tech: &dyn CellTechnology) -> Vec<Time> {
         let lines = self.layout.lines();
         let raw =
             self.sample_line_retentions(|dl, dvth1, dvth2| tech.retention(dl, dvth1, dvth2));
@@ -341,7 +331,7 @@ impl Chip {
             "words_per_line must divide {bits}"
         );
         let bits_per_word = bits / words_per_line;
-        let solver = RetentionSolver::new(self.node);
+        let solver = cell3t1d::RetentionSolver::new(self.node);
         let sigma_vth = self.params.sigma_vth(self.node).volts();
         let lines = self.layout.lines();
         let cells = self.layout.cells_per_line();

@@ -10,11 +10,13 @@
 //!   its finest-level [`leaf_totals`] once per chip, and a per-layout leaf
 //!   LUT (built once per process, shared across all chips of a layout) maps
 //!   every cell straight to its leaf — no per-cell descent, no per-cell
-//!   trigonometry of coordinates;
+//!   trigonometry of coordinates (the line kernel gathers one line at a
+//!   time, so it never holds a whole-chip plane);
 //! * the random-dopant Vth planes are filled line-at-a-time straight from
 //!   the RNG stream; and
-//! * the retention solve runs as [`RetentionSolver::retention_slice`], a
-//!   tight loop over the three planes.
+//! * the retention solve runs as [`CellTechnology::retention_slice`], one
+//!   dynamic call per line looping the technology's scalar solve over the
+//!   three planes.
 //!
 //! **Determinism contract.** Every kernel consumes the chip's RNG streams
 //! draw-for-draw like its scalar counterpart and produces bit-identical
@@ -29,7 +31,6 @@
 //!
 //! [`cell_position`]: crate::array::ArrayLayout::cell_position
 //! [`leaf_totals`]: crate::quadtree::QuadTreeField::leaf_totals
-//! [`RetentionSolver::retention_slice`]: crate::cell3t1d::RetentionSolver::retention_slice
 
 use super::{Chip, WordRetentionMap, RETENTION_PURPOSE, WORD_RETENTION_PURPOSE};
 use crate::array::ArrayLayout;
@@ -118,52 +119,25 @@ pub fn dl_plane(chip: &Chip) -> Vec<f64> {
     lut.iter().map(|&leaf| d2d + totals[leaf as usize]).collect()
 }
 
-/// Batch equivalent of the scalar per-line retention sampling: returns the
-/// per-line minimum retention, bit-identical to
+/// Batch equivalent of the scalar per-line retention sampling under a
+/// [`CellTechnology`]: returns the per-line minimum retention, with the
+/// technology's [`line_scale`] applied after the fold, bit-identical to
 /// [`Chip::line_retentions_scalar`] including RNG stream consumption.
-pub fn line_retentions(chip: &Chip) -> Vec<Time> {
-    let solver = RetentionSolver::new(chip.node);
-    line_retentions_kernel(
-        chip,
-        |dl, d1, d2, out| solver.retention_slice(dl, d1, d2, out),
-        |_line| 1.0,
-    )
-}
-
-/// [`line_retentions`] for an arbitrary [`CellTechnology`]: the same RNG
-/// streams, deviation planes, min-fold, and dead-line rewind, with the
-/// technology's slice kernel in place of the 3T1D solver and its
-/// [`line_scale`] applied after the fold.
-///
-/// For the 3T1D technology at the nominal operating point this is
-/// bit-identical to [`line_retentions`] (the retention scale and line
-/// scale are both exactly 1.0, and IEEE `x * 1.0 == x`).
 ///
 /// [`line_scale`]: CellTechnology::line_scale
-pub fn line_retentions_with(chip: &Chip, tech: &dyn CellTechnology) -> Vec<Time> {
-    let lines = chip.layout.lines();
-    line_retentions_kernel(
-        chip,
-        |dl, d1, d2, out| tech.retention_slice(dl, d1, d2, out),
-        |line| tech.line_scale(line, lines),
-    )
-}
-
-/// The shared SoA line-retention kernel: `solve` fills per-cell retentions
-/// for one line's planes, `line_scale` multiplies the folded per-line
-/// minimum (1.0 for the baseline path — bit-identical by IEEE identity).
-fn line_retentions_kernel(
-    chip: &Chip,
-    mut solve: impl FnMut(&[f64], &[f64], &[f64], &mut Vec<Time>),
-    mut line_scale: impl FnMut(u32) -> f64,
-) -> Vec<Time> {
+pub fn line_retentions(chip: &Chip, tech: &dyn CellTechnology) -> Vec<Time> {
     let _span = obs::trace::span_with("vlsi", || format!("batch.retention:chip{}", chip.index));
     let lines = chip.layout.lines() as usize;
     let cells = chip.layout.cells_per_line() as usize;
     let sigma_vth = chip.params.sigma_vth(chip.node).volts();
-    let dl = dl_plane(chip);
+    // The ΔL/L plane is gathered one line at a time: a whole-chip plane is
+    // a ~4.5 MB allocation per chip, which glibc keeps resident in
+    // every thread arena that ever sampled a chip.
+    let lut = leaf_lut(&chip.layout, chip.field.levels());
+    let totals = chip.field.leaf_totals();
 
     let mut rng = chip.rng_for(RETENTION_PURPOSE);
+    let mut dl = vec![0.0f64; cells];
     let mut normals = vec![0.0f64; 2 * cells];
     let mut dvth1 = vec![0.0f64; cells];
     let mut dvth2 = vec![0.0f64; cells];
@@ -180,7 +154,10 @@ fn line_retentions_kernel(
             dvth2[bit] = sigma_vth * normals[2 * bit + 1];
         }
         let base = line * cells;
-        solve(&dl[base..base + cells], &dvth1, &dvth2, &mut rets);
+        for (d, &leaf) in dl.iter_mut().zip(&lut[base..base + cells]) {
+            *d = chip.d2d_dl_frac + totals[leaf as usize];
+        }
+        tech.retention_slice(&dl, &dvth1, &dvth2, &mut rets);
 
         // Same reduction as the scalar loop, dead-line break included.
         let mut min_ret = Time::from_us(f64::INFINITY);
@@ -206,7 +183,7 @@ fn line_retentions_kernel(
             }
             _ => normals_drawn += 2 * cells as u64,
         }
-        out.push(min_ret * line_scale(line as u32));
+        out.push(min_ret * tech.line_scale(line as u32, lines as u32));
     }
     obs::trace::counter("batch.sample", normals_drawn as f64);
     obs::trace::counter("batch.retention", (lines * cells) as f64);
@@ -244,7 +221,7 @@ pub fn sample_word_planes(chip: &Chip) -> DeviationPlanes {
 }
 
 /// Reduces precomputed deviation planes to a [`WordRetentionMap`]:
-/// solve every cell with the slice kernel, then fold per word/tag slot in
+/// solve every cell with the 3T1D solver, folding per word/tag slot in
 /// the scalar path's order. Output-identical to the scalar word map (the
 /// scalar fast path merely elides solves for already-dead slots, which
 /// cannot change the fold).
@@ -273,20 +250,14 @@ pub fn word_retention_map_from_planes(
     let bits_per_word = (bits / words_per_line) as usize;
     let bits = bits as usize;
     let solver = RetentionSolver::new(chip.node);
-    let mut rets: Vec<Time> = Vec::with_capacity(cells);
     let mut words = Vec::with_capacity(lines);
     let mut tags = Vec::with_capacity(lines);
     for line in 0..lines {
         let row = planes.row(line);
-        solver.retention_slice(
-            &planes.dl[row.clone()],
-            &planes.dvth1[row.clone()],
-            &planes.dvth2[row],
-            &mut rets,
-        );
         let mut word_min = vec![Time::from_us(f64::INFINITY); words_per_line as usize];
         let mut tag_min = Time::from_us(f64::INFINITY);
-        for (bit, &ret) in rets.iter().enumerate() {
+        for (bit, k) in row.enumerate() {
+            let ret = solver.retention(planes.dl[k], planes.dvth1[k], planes.dvth2[k]);
             let slot = if bit < bits {
                 &mut word_min[bit / bits_per_word]
             } else {
@@ -314,6 +285,7 @@ pub fn word_retention_map(chip: &Chip, words_per_line: u32) -> WordRetentionMap 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::celltech::T3t1dTech;
     use crate::montecarlo::ChipFactory;
     use crate::tech::TechNode;
     use crate::variation::VariationCorner;
@@ -344,11 +316,12 @@ mod tests {
         for node in [TechNode::N65, TechNode::N45, TechNode::N32] {
             for corner in [VariationCorner::Typical, VariationCorner::Severe] {
                 let f = ChipFactory::new(node, corner.params(), 71);
+                let tech = T3t1dTech::nominal(node);
                 for i in 0..2 {
                     let chip = f.chip(i);
                     assert_eq!(
-                        line_retentions(&chip),
-                        chip.line_retentions_scalar(),
+                        line_retentions(&chip, &tech),
+                        chip.line_retentions_scalar(&tech),
                         "{node} {corner:?} chip {i}"
                     );
                 }
@@ -372,30 +345,12 @@ mod tests {
         // Severe corner produces dead lines; if the rewind were wrong every
         // line after the first dead one would diverge from the scalar path.
         let f = ChipFactory::new(TechNode::N32, VariationCorner::Severe.params(), 17);
+        let tech = T3t1dTech::nominal(TechNode::N32);
         for i in 0..4 {
             let chip = f.chip(i);
-            let batch = line_retentions(&chip);
+            let batch = line_retentions(&chip, &tech);
             let dead = batch.iter().filter(|t| **t == Time::ZERO).count();
-            assert_eq!(batch, chip.line_retentions_scalar(), "chip {i} ({dead} dead)");
-        }
-    }
-
-    #[test]
-    fn tech_path_at_nominal_is_bit_identical_to_the_baseline() {
-        use crate::celltech::{CellTechKind, T3t1dTech};
-        use crate::tech::OperatingPoint;
-        let f = ChipFactory::new(TechNode::N32, VariationCorner::Severe.params(), 23);
-        let chip = f.chip(0);
-        let tech = T3t1dTech::new(TechNode::N32, OperatingPoint::nominal(TechNode::N32));
-        assert_eq!(line_retentions_with(&chip, &tech), line_retentions(&chip));
-        // Other technologies consume the streams identically, so their line
-        // counts (and hence downstream geometry) always agree.
-        for kind in CellTechKind::ALL {
-            let t = kind.build(TechNode::N32, OperatingPoint::nominal(TechNode::N32));
-            assert_eq!(
-                line_retentions_with(&chip, t.as_ref()).len(),
-                chip.layout().lines() as usize
-            );
+            assert_eq!(batch, chip.line_retentions_scalar(&tech), "chip {i} ({dead} dead)");
         }
     }
 

@@ -6,12 +6,9 @@ use vlsi::montecarlo::ChipFactory;
 use vlsi::tech::OperatingPoint;
 use vlsi::variation::VariationParams;
 use vlsi::ArrayLayout;
-use vlsi::cell3t1d::{
-    access_time, decay_tau, decay_tau_slice, min_storage_voltage, retention_time,
-    storage_voltage_at, stored_one_voltage, stored_one_voltage_slice, RetentionSolver,
-};
+use vlsi::cell3t1d::{access_time, min_storage_voltage, retention_time, storage_voltage_at};
 use vlsi::cell6t::{access_time as access_6t, line_failure_probability, CellSize};
-use vlsi::math::{erf, erf_slice, normal_cdf, normal_cdf_slice, normal_inv_cdf};
+use vlsi::math::{normal_cdf, normal_inv_cdf};
 use vlsi::quadtree::QuadTreeField;
 use vlsi::stats::{quantile, Histogram, Summary};
 use vlsi::tech::TechNode;
@@ -147,64 +144,6 @@ proptest! {
     }
 
     #[test]
-    fn batched_erf_matches_scalar(xs in proptest::collection::vec(-8.0f64..8.0, 1..128)) {
-        let mut out = vec![0.0; xs.len()];
-        erf_slice(&xs, &mut out);
-        for (i, &x) in xs.iter().enumerate() {
-            prop_assert_eq!(out[i], erf(x), "erf({})", x);
-        }
-        let mut cdf = vec![0.0; xs.len()];
-        normal_cdf_slice(&xs, &mut cdf);
-        for (i, &x) in xs.iter().enumerate() {
-            prop_assert_eq!(cdf[i], normal_cdf(x), "cdf({})", x);
-        }
-    }
-
-    #[test]
-    fn batched_retention_matches_scalar(node in node_strategy(),
-                                        cells in proptest::collection::vec(
-                                            (-0.25f64..0.25, -0.3f64..0.3, -0.3f64..0.3),
-                                            1..96)) {
-        // The slice kernel must be bit-identical to the scalar solver, and
-        // the solver itself is pinned elsewhere against `retention_time` —
-        // so arbitrary deviation planes round-trip exactly.
-        let solver = RetentionSolver::new(node);
-        let dl: Vec<f64> = cells.iter().map(|c| c.0).collect();
-        let dvth1: Vec<f64> = cells.iter().map(|c| c.1).collect();
-        let dvth2: Vec<f64> = cells.iter().map(|c| c.2).collect();
-        let mut batch = Vec::new();
-        solver.retention_slice(&dl, &dvth1, &dvth2, &mut batch);
-        prop_assert_eq!(batch.len(), cells.len());
-        for (i, &(l, v1, v2)) in cells.iter().enumerate() {
-            prop_assert_eq!(batch[i], solver.retention(l, v1, v2), "cell {}", i);
-            // Dead/alive classification agrees with the exact model.
-            let exact = retention_time(
-                node,
-                DeviceDeviation { dl_frac: l, dvth_random: Voltage::new(v1) },
-                DeviceDeviation { dl_frac: l, dvth_random: Voltage::new(v2) },
-            );
-            prop_assert_eq!(batch[i] == Time::ZERO, exact == Time::ZERO, "cell {}", i);
-        }
-    }
-
-    #[test]
-    fn batched_curves_match_scalar(node in node_strategy(),
-                                   cells in proptest::collection::vec(
-                                       (-0.25f64..0.25, -0.3f64..0.3), 1..96)) {
-        let dl: Vec<f64> = cells.iter().map(|c| c.0).collect();
-        let dvth1: Vec<f64> = cells.iter().map(|c| c.1).collect();
-        let mut v0 = Vec::new();
-        stored_one_voltage_slice(node, &dl, &dvth1, &mut v0);
-        let mut tau = Vec::new();
-        decay_tau_slice(node, &dl, &dvth1, &mut tau);
-        for (i, &(l, v1)) in cells.iter().enumerate() {
-            let dev = DeviceDeviation { dl_frac: l, dvth_random: Voltage::new(v1) };
-            prop_assert_eq!(v0[i], stored_one_voltage(node, dev), "v0 cell {}", i);
-            prop_assert_eq!(tau[i], decay_tau(node, dev), "tau cell {}", i);
-        }
-    }
-
-    #[test]
     fn tech_retention_non_increasing_in_temperature(node in node_strategy(),
                                                     dl in -0.12f64..0.12,
                                                     d1 in -0.25f64..0.25,
@@ -273,7 +212,7 @@ proptest! {
             for kind in CellTechKind::ALL {
                 let tech = kind.build(node, op);
                 let batch = chip.line_retentions_tech(tech.as_ref());
-                let scalar = chip.line_retentions_tech_scalar(tech.as_ref());
+                let scalar = chip.line_retentions_scalar(tech.as_ref());
                 prop_assert_eq!(batch.len(), scalar.len());
                 for (i, (b, s)) in batch.iter().zip(scalar.iter()).enumerate() {
                     prop_assert_eq!(b, s, "{} line {}", kind.slug(), i);
