@@ -91,9 +91,10 @@ impl AccessReplayer {
     ///
     /// # Panics
     ///
-    /// Panics if the sink rejects one access [`MAX_RETRIES_PER_ACCESS`]
-    /// times — ports that never free indicate a broken model, and the
-    /// differential harness must fail loudly rather than hang.
+    /// Panics if the sink rejects one access 2^20 times
+    /// (`MAX_RETRIES_PER_ACCESS`) — ports that never free indicate a
+    /// broken model, and the differential harness must fail loudly
+    /// rather than hang.
     pub fn step<C: DemandSink>(
         &mut self,
         sink: &mut C,

@@ -21,7 +21,7 @@
 //! * [`stage`] — the stage kinds themselves, thin JSON adapters over
 //!   the library stage functions in [`bench_harness::figures`] and
 //!   [`t3cache`];
-//! * [`bench`] — the pinned micro-benchmark suite behind `pv3t1d bench`
+//! * [`bench`](mod@bench) — the pinned micro-benchmark suite behind `pv3t1d bench`
 //!   and the `BENCH_<label>.json` baseline / `--compare` regression
 //!   machinery;
 //! * [`report`] — the `pv3t1d report` markdown renderer for run

@@ -15,7 +15,7 @@
 //!
 //! * every figure/table stage of [`bench_harness::figures::STAGE_NAMES`]
 //!   (`fig06b`, `fig09`, …, `table3`, `sec21_*`);
-//! * `chip_campaign` — a Monte-Carlo [`ChipPopulation`] reduced to its
+//! * `chip_campaign` — a Monte-Carlo [`ChipPopulation`](t3cache::ChipPopulation) reduced to its
 //!   per-chip cache retention times;
 //! * `retention_map` — a fixed-bucket histogram over a `chip_campaign`
 //!   payload's retention times;

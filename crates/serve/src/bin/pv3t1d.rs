@@ -371,6 +371,8 @@ mod interrupt {
             signal(SIGINT, handler);
             signal(SIGTERM, handler);
         }
+        // The bridge polls because a signal handler may only store an
+        // atomic; it cannot take the token's lock to wake a sleeper.
         let bridge = token.clone();
         std::thread::spawn(move || loop {
             if INTERRUPTED.load(Ordering::Acquire) {

@@ -95,13 +95,8 @@ pub(crate) fn run(config: JanitorConfig, shared: Arc<Shared>) {
     let store = ArtifactStore::new(&config.store_root);
     let keep = BTreeSet::new();
     loop {
-        // Interruptible sleep: check the shutdown token every 50 ms.
-        let wake = std::time::Instant::now() + config.interval;
-        while std::time::Instant::now() < wake {
-            if shared.shutdown.is_cancelled() {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(50));
+        if shared.shutdown.sleep(config.interval) {
+            return;
         }
         let cutoff = SystemTime::now()
             .checked_sub(config.interval)

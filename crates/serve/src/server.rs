@@ -16,6 +16,17 @@
 //! | `DELETE /jobs/<id>`     | cancel (cooperative; the scheduler drains)        |
 //! | `GET /jobs/<id>/events` | stream progress events as newline-delimited JSON  |
 //!
+//! ## Accept path
+//!
+//! The accept thread blocks in `accept` on a blocking listener, so a
+//! request is read the moment it arrives; nothing on the idle path is
+//! polled. [`Server::shutdown`] cancels the shutdown token and then
+//! connects to the daemon's own listener once; the accept thread wakes,
+//! sees the token, drops that connection and exits, which closes the
+//! listener. The metrics sampler and the CAS janitor park in
+//! [`CancelToken::sleep`], which the cancel wakes at once, instead of
+//! re-checking the token in short sleep slices.
+//!
 //! ## Correlation ids
 //!
 //! Every accepted request gets a daemon-unique id (`req-000042`). For
@@ -44,7 +55,7 @@ use crate::telemetry::{self, Telemetry};
 use obs::{CancelToken, Json, MetricsRegistry};
 use orchestrator::{run_scenario, FlightTable, RunOptions, Scenario, StageStatus};
 use std::io::{self, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -53,8 +64,12 @@ use std::time::{Duration, Instant};
 /// Concurrent connection cap; excess connections get a 503 and are
 /// closed immediately rather than queueing behind slow handlers.
 const MAX_CONNECTIONS: usize = 1024;
-/// How often blocking loops re-check the shutdown token.
-const POLL: Duration = Duration::from_millis(25);
+/// Pause after a failed `accept` (e.g. `EMFILE`), so a persistent
+/// error does not spin the accept thread. Idle waiting is not polled:
+/// the listener blocks, and shutdown wakes it with a self-connect.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(25);
+/// Bound on the self-connect that wakes the blocked accept on shutdown.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 /// Per-connection read timeout: a silent client cannot pin a handler
 /// thread forever.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
@@ -137,9 +152,44 @@ pub(crate) struct Shared {
 /// [`Server::shutdown`] (or let the process exit).
 pub struct Server {
     shared: Arc<Shared>,
+    accept: std::thread::JoinHandle<()>,
     threads: Vec<std::thread::JoinHandle<()>>,
     addr: String,
-    unix_path: Option<PathBuf>,
+    local: Local,
+}
+
+/// Where the daemon's own listener can be reached — the target of the
+/// shutdown self-connect.
+enum Local {
+    Tcp(SocketAddr),
+    Unix(PathBuf),
+}
+
+impl Local {
+    /// Connects to the listener once and hangs up, which returns the
+    /// accept thread's blocking `accept`. A wildcard bind (`0.0.0.0`,
+    /// `[::]`) is reached through the loopback address of its family.
+    fn wake(&self) -> io::Result<()> {
+        match self {
+            Local::Tcp(addr) => {
+                let mut addr = *addr;
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(match addr {
+                        SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                        SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                    });
+                }
+                TcpStream::connect_timeout(&addr, WAKE_TIMEOUT).map(drop)
+            }
+            // A Unix connect has no timeout knob, but it only blocks while
+            // the backlog is full, and the accept thread drains the
+            // backlog without waiting on anything but `accept` itself.
+            #[cfg(unix)]
+            Local::Unix(path) => std::os::unix::net::UnixStream::connect(path).map(drop),
+            #[cfg(not(unix))]
+            Local::Unix(_) => Err(io::ErrorKind::Unsupported.into()),
+        }
+    }
 }
 
 enum Listener {
@@ -166,15 +216,9 @@ impl Conn {
 
     fn configure(&self) -> io::Result<()> {
         match self {
-            Conn::Tcp(s) => {
-                s.set_nonblocking(false)?;
-                s.set_read_timeout(Some(READ_TIMEOUT))
-            }
+            Conn::Tcp(s) => s.set_read_timeout(Some(READ_TIMEOUT)),
             #[cfg(unix)]
-            Conn::Unix(s) => {
-                s.set_nonblocking(false)?;
-                s.set_read_timeout(Some(READ_TIMEOUT))
-            }
+            Conn::Unix(s) => s.set_read_timeout(Some(READ_TIMEOUT)),
         }
     }
 }
@@ -208,13 +252,12 @@ impl Write for Conn {
 }
 
 impl Listener {
-    fn bind(listen: &Listen) -> io::Result<(Listener, String, Option<PathBuf>)> {
+    fn bind(listen: &Listen) -> io::Result<(Listener, String, Local)> {
         match listen {
             Listen::Tcp(addr) => {
                 let l = TcpListener::bind(addr)?;
-                let actual = l.local_addr()?.to_string();
-                l.set_nonblocking(true)?;
-                Ok((Listener::Tcp(l), actual, None))
+                let actual = l.local_addr()?;
+                Ok((Listener::Tcp(l), actual.to_string(), Local::Tcp(actual)))
             }
             #[cfg(unix)]
             Listen::Unix(path) => {
@@ -223,11 +266,10 @@ impl Listener {
                 // dead territory anyway, this is the standard dance).
                 let _ = std::fs::remove_file(path);
                 let l = std::os::unix::net::UnixListener::bind(path)?;
-                l.set_nonblocking(true)?;
                 Ok((
                     Listener::Unix(l),
                     format!("unix:{}", path.display()),
-                    Some(path.clone()),
+                    Local::Unix(path.clone()),
                 ))
             }
             #[cfg(not(unix))]
@@ -251,7 +293,7 @@ impl Server {
     /// Binds, spawns the accept loop + worker pool + janitor, and
     /// returns immediately.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
-        let (listener, addr, unix_path) = Listener::bind(&config.listen)?;
+        let (listener, addr, local) = Listener::bind(&config.listen)?;
         std::fs::create_dir_all(config.results_dir.join("jobs"))?;
         let shared = Arc::new(Shared {
             jobs: JobTable::new(),
@@ -268,13 +310,11 @@ impl Server {
             verbose: config.verbose,
         });
 
-        let mut threads = Vec::new();
         let accept_shared = shared.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name("serve-accept".into())
-                .spawn(move || accept_loop(listener, accept_shared))?,
-        );
+        let accept = std::thread::Builder::new()
+            .name("serve-accept".into())
+            .spawn(move || accept_loop(listener, accept_shared))?;
+        let mut threads = Vec::new();
         for i in 0..config.workers.max(1) {
             let worker_shared = shared.clone();
             threads.push(
@@ -308,9 +348,10 @@ impl Server {
         }
         Ok(Server {
             shared,
+            accept,
             threads,
             addr,
-            unix_path,
+            local,
         })
     }
 
@@ -328,18 +369,24 @@ impl Server {
 
     /// Blocks until the shutdown token fires, then drains.
     pub fn wait(self) {
-        while !self.shared.shutdown.is_cancelled() {
-            std::thread::sleep(POLL);
-        }
+        self.shared.shutdown.sleep(Duration::MAX);
         self.shutdown();
     }
 
     /// Graceful drain: stop accepting, cancel every job (the scheduler
     /// stops at the next unit boundary and writes partial manifests),
     /// retire the queue, and join all daemon threads.
+    ///
+    /// The accept thread blocks in `accept`, so the drain wakes it by
+    /// connecting to the daemon's own listener. If that connect fails,
+    /// the accept thread is left detached rather than joined, so a
+    /// failed wake can never hang the drain.
     pub fn shutdown(self) {
         self.shared.shutdown.cancel();
         self.shared.jobs.cancel_all();
+        if self.local.wake().is_ok() {
+            let _ = self.accept.join();
+        }
         for t in self.threads {
             let _ = t.join();
         }
@@ -348,7 +395,7 @@ impl Server {
         for id in self.shared.jobs.active_ids() {
             self.shared.jobs.finish(id, JobState::Cancelled, None, None);
         }
-        if let Some(path) = &self.unix_path {
+        if let Local::Unix(path) = &self.local {
             let _ = std::fs::remove_file(path);
         }
         if self.shared.verbose {
@@ -359,10 +406,13 @@ impl Server {
 
 fn accept_loop(listener: Listener, shared: Arc<Shared>) {
     loop {
+        let accepted = listener.accept();
+        // Whatever returned the accept after shutdown — the drain's wake
+        // connect or a late client — is dropped unanswered.
         if shared.shutdown.is_cancelled() {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok(conn) => {
                 if shared.active_connections.fetch_add(1, Ordering::AcqRel) >= MAX_CONNECTIONS {
                     shared.active_connections.fetch_sub(1, Ordering::AcqRel);
@@ -381,8 +431,11 @@ fn accept_loop(listener: Listener, shared: Arc<Shared>) {
                     shared.active_connections.fetch_sub(1, Ordering::AcqRel);
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => std::thread::sleep(POLL),
+            Err(_) => {
+                if shared.shutdown.sleep(ACCEPT_BACKOFF) {
+                    return;
+                }
+            }
         }
     }
 }
@@ -549,14 +602,7 @@ fn sampler_loop(shared: Arc<Shared>, interval: Duration) {
         sample.insert("ts_ms", Json::Num(telemetry::now_ms() as f64));
         sample.insert("metrics", registry_snapshot(&shared).to_json());
         shared.telemetry.push_sample(sample);
-        // Interruptible sleep, same dance as the janitor.
-        let wake = Instant::now() + interval;
-        while Instant::now() < wake {
-            if shared.shutdown.is_cancelled() {
-                return;
-            }
-            std::thread::sleep(POLL.min(interval));
-        }
+        shared.shutdown.sleep(interval);
     }
 }
 

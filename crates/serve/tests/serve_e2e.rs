@@ -493,3 +493,93 @@ fn deeply_nested_body_is_a_400_not_a_daemon_crash() {
     wait_for_exit(&mut daemon, Duration::from_secs(30));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Runs [`Server::shutdown`] on a helper thread and fails unless it
+/// returns within 5 s, so a broken accept wake fails the test instead
+/// of wedging the suite.
+fn shutdown_within_5s(server: Server) {
+    let (done, returned) = std::sync::mpsc::channel();
+    let drain = std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done.send(());
+    });
+    returned
+        .recv_timeout(Duration::from_secs(5))
+        .expect("shutdown returns within 5 s");
+    drain.join().unwrap();
+}
+
+fn start_on(listen: Listen, results: &std::path::Path) -> Server {
+    Server::start(ServerConfig {
+        listen,
+        results_dir: results.to_path_buf(),
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("daemon starts")
+}
+
+fn socket_path(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("pv3t1d_{tag}_{}.sock", std::process::id()))
+}
+
+/// The accept thread blocks in `accept`; only the drain's self-connect
+/// wakes it. A daemon that never saw a connection must still stop
+/// promptly on a loopback, a wildcard and a Unix-socket listener.
+#[test]
+fn idle_daemon_shuts_down_promptly_on_every_listener_kind() {
+    let mut listens = vec![
+        Listen::Tcp("127.0.0.1:0".to_string()),
+        Listen::Tcp("0.0.0.0:0".to_string()),
+    ];
+    if cfg!(unix) {
+        listens.push(Listen::Unix(socket_path("idle")));
+    }
+    for (i, listen) in listens.into_iter().enumerate() {
+        let dir = temp_results(&format!("idle{i}"));
+        let server = start_on(listen.clone(), &dir);
+        std::thread::sleep(Duration::from_millis(100));
+        shutdown_within_5s(server);
+        if let Listen::Unix(path) = &listen {
+            assert!(!path.exists(), "the drain removes the socket file");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A request that arrives after an idle stretch is answered, and once
+/// the drain has returned the listener is gone: a late client is
+/// refused at once rather than left hanging.
+#[test]
+fn request_after_idle_is_answered_then_drain_closes_the_listener() {
+    let dir = temp_results("idle_then_request");
+    let server = start_on(Listen::Tcp("0.0.0.0:0".to_string()), &dir);
+    let port = server.addr().rsplit(':').next().unwrap().to_string();
+    let addr = format!("127.0.0.1:{port}");
+    std::thread::sleep(Duration::from_millis(200));
+    let health = exchange(&addr, "GET", "/healthz", None).expect("daemon answers");
+    assert_eq!(health.status, 200, "{health:?}");
+    shutdown_within_5s(server);
+    assert!(
+        exchange(&addr, "GET", "/healthz", None).is_err(),
+        "a drained daemon must refuse connections"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[cfg(unix)]
+#[test]
+fn unix_socket_request_after_idle_is_answered() {
+    use std::io::{BufReader, Write};
+    let dir = temp_results("unix_request");
+    let path = socket_path("request");
+    let server = start_on(Listen::Unix(path.clone()), &dir);
+    std::thread::sleep(Duration::from_millis(200));
+    let mut stream = std::os::unix::net::UnixStream::connect(&path).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    write!(stream, "GET /healthz HTTP/1.1\r\nHost: pv3t1d\r\nConnection: close\r\n\r\n").unwrap();
+    let resp = serve::http::read_response(&mut BufReader::new(stream)).unwrap();
+    assert_eq!(resp.status, 200, "{resp:?}");
+    shutdown_within_5s(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
